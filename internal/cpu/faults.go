@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"spear/internal/isa"
 	"spear/internal/obs"
 )
 
@@ -112,22 +111,6 @@ func classifyPAddr(addr uint32, size int) PFaultKind {
 		return PFaultMisaligned
 	}
 	return PFaultNone
-}
-
-// memAccessSize returns the access width of a memory opcode, 0 for
-// non-memory instructions.
-func memAccessSize(op isa.Op) int {
-	switch op {
-	case isa.LB, isa.LBU, isa.SB:
-		return 1
-	case isa.LH, isa.SH:
-		return 2
-	case isa.LW, isa.SW:
-		return 4
-	case isa.LD, isa.SD, isa.FLD, isa.FSD:
-		return 8
-	}
-	return 0
 }
 
 // ptHealth is the per-d-load fault confidence state. A p-thread that

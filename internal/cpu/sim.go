@@ -250,10 +250,10 @@ type sim struct {
 	// state is stale and the next trigger re-copies live-ins.
 	pScanPos    uint64
 	pStateValid bool
-	leafPLoad   []bool              // loads whose value no p-thread consumes
-	allLiveIns  []isa.Reg           // union of every p-thread's live-ins
-	pregs       [isa.NumRegs]uint64 // p-thread register file (bit patterns)
-	pscratch    map[uint32]byte     // p-thread store buffer
+	leafPLoad   []bool    // loads whose value no p-thread consumes
+	allLiveIns  []isa.Reg // union of every p-thread's live-ins
+	pregs       emu.Regs  // p-thread register file
+	pmem        pMem      // p-thread store buffer over the shared image
 
 	// Fault containment: per-d-load confidence/backoff state.
 	health map[int]*ptHealth
@@ -344,6 +344,7 @@ func newSim(p *prog.Program, cfg Config) (*sim, error) {
 	s.lsq[tidMain] = newLSQ(cfg.LSQSize)
 	s.lsq[tidP] = newLSQ(cfg.LSQSize)
 	s.shadow[isa.RegSP] = uint64(emu.StackTop)
+	s.pmem.image = s.oracle.Mem
 
 	// Event ring sized to the longest possible completion latency.
 	maxLat := cfg.Hierarchy.L1D.HitLatency + cfg.Hierarchy.L2.HitLatency + cfg.Hierarchy.MemLatency + 64

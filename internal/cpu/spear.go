@@ -1,9 +1,9 @@
 package cpu
 
 import (
-	"math"
-
+	"spear/internal/emu"
 	"spear/internal/isa"
+	"spear/internal/mem"
 	"spear/internal/obs"
 )
 
@@ -172,7 +172,7 @@ func (s *sim) activateSession() {
 		s.pregs[r] = s.sess.snapshot[r]
 	}
 	s.sess.scanPos = s.ifqHead
-	s.pscratch = map[uint32]byte{}
+	s.pmem.scratch = map[uint32]byte{}
 	for r := range s.createOk[tidP] {
 		s.createOk[tidP][r] = false
 	}
@@ -304,7 +304,7 @@ func (s *sim) dispatchPThread(fe *ifqEntry) (ok, faulted bool) {
 	if needLSQ && s.lsq[tidP].full() {
 		return false, false
 	}
-	outcome, fault := s.evalP(in, fe.pc)
+	eff, fault := EvalP(in, fe.pc, &s.pregs, &s.pmem)
 	if fault != PFaultNone {
 		s.containFault(fault)
 		return false, true
@@ -322,10 +322,10 @@ func (s *sim) dispatchPThread(fe *ifqEntry) (ok, faulted bool) {
 		state:     stDispatched,
 		isLoad:    in.Op.IsLoad(),
 		isStore:   in.Op.IsStore(),
-		addr:      outcome.addr,
-		hasDest:   outcome.hasDest,
-		destReg:   outcome.destReg,
-		destVal:   outcome.destVal,
+		addr:      eff.Addr,
+		hasDest:   eff.HasDest,
+		destReg:   eff.DestReg,
+		destVal:   eff.DestVal,
 		consumers: e.consumers[:0],
 	}
 	if needLSQ {
@@ -341,206 +341,56 @@ func (s *sim) dispatchPThread(fe *ifqEntry) (ok, faulted bool) {
 	return true, false
 }
 
-// pOutcome is the functional result of a p-thread instruction.
-type pOutcome struct {
-	addr    uint32
-	hasDest bool
-	destReg isa.Reg
-	destVal uint64
+// pMem is the p-thread's view of memory. Its stores go to a private
+// scratch buffer and never reach the architectural image. Its loads prefer
+// that buffer and otherwise peek the shared image without materializing
+// pages: a speculative read of a never-written address must leave no trace
+// in the architectural memory map.
+type pMem struct {
+	scratch map[uint32]byte
+	image   *mem.Memory
 }
 
-// pReadInt / pReadF access the p-thread register file.
-func (s *sim) pReadInt(r isa.Reg) int64 {
-	if r == isa.RegZero {
-		return 0
-	}
-	return int64(s.pregs[r])
-}
-
-func (s *sim) pReadF(r isa.Reg) float64 { return math.Float64frombits(s.pregs[r]) }
-
-// pLoad reads byte-wise, preferring the p-thread's private scratch buffer
-// (its stores never reach architectural memory). It peeks the shared image
-// without materializing pages: a speculative read of a never-written
-// address must leave no trace in the architectural memory map.
-func (s *sim) pLoad(addr uint32, size int) uint64 {
+func (p *pMem) Load(addr uint32, size int) uint64 {
 	var v uint64
 	for i := 0; i < size; i++ {
 		a := addr + uint32(i)
-		b, ok := s.pscratch[a]
+		b, ok := p.scratch[a]
 		if !ok {
-			b = s.oracle.Mem.PeekU8(a)
+			b = p.image.PeekU8(a)
 		}
 		v |= uint64(b) << (8 * i)
 	}
 	return v
 }
 
-func (s *sim) pStore(addr uint32, size int, v uint64) {
+func (p *pMem) Store(addr uint32, size int, v uint64) {
 	for i := 0; i < size; i++ {
-		s.pscratch[addr+uint32(i)] = byte(v >> (8 * i))
+		p.scratch[addr+uint32(i)] = byte(v >> (8 * i))
 	}
 }
 
-// evalP executes one p-thread instruction functionally, in extraction
-// order, against the p-thread register file, the shared memory image, and
-// the private store buffer. Control-flow instructions are inert: the
+// EvalP executes one extracted p-thread instruction, in extraction order,
+// on the p-thread registers r and memory view m. Its semantics are
+// emu.Exec's; the caller ignores the control-flow effect, because the
 // p-thread's control flow is dictated by the main thread's fetch stream.
 //
-// Faults are detected before any state changes: a memory access outside
-// the plausible data window or misaligned, and an integer division by
-// zero, return a non-None PFaultKind with the register file, scratch
-// buffer, and (crucially) the shared memory image untouched.
-func (s *sim) evalP(in isa.Instruction, pc int) (pOutcome, PFaultKind) {
-	var out pOutcome
-	if size := memAccessSize(in.Op); size > 0 {
-		addr := uint32(s.pReadInt(in.Rs) + int64(in.Imm))
-		if k := classifyPAddr(addr, size); k != PFaultNone {
-			out.addr = addr
-			return out, k
+// On top of Exec sits the containment pre-check, which decides before any
+// state changes: a memory access outside the plausible data window or
+// misaligned, and an integer DIV/REM by zero (which Exec defines as 0),
+// return a non-None PFaultKind with r and m (and so the shared memory
+// image) untouched.
+func EvalP(in isa.Instruction, pc int, r *emu.Regs, m emu.Memory) (emu.Effect, PFaultKind) {
+	if size := in.Op.AccessSize(); size > 0 {
+		if k := classifyPAddr(uint32(r.Int(in.Rs)+int64(in.Imm)), size); k != PFaultNone {
+			return emu.Effect{}, k
 		}
 	}
-	switch in.Op {
-	case isa.DIV, isa.REM:
-		if s.pReadInt(in.Rt) == 0 {
-			return out, PFaultDivZero
-		}
+	if (in.Op == isa.DIV || in.Op == isa.REM) && r.Int(in.Rt) == 0 {
+		return emu.Effect{}, PFaultDivZero
 	}
-	setInt := func(rd isa.Reg, v int64) {
-		if rd == isa.RegZero {
-			return
-		}
-		s.pregs[rd] = uint64(v)
-		out.hasDest, out.destReg, out.destVal = true, rd, uint64(v)
-	}
-	setF := func(rd isa.Reg, v float64) {
-		bits := math.Float64bits(v)
-		s.pregs[rd] = bits
-		out.hasDest, out.destReg, out.destVal = true, rd, bits
-	}
-	rs, rt := in.Rs, in.Rt
-	switch in.Op {
-	case isa.ADD:
-		setInt(in.Rd, s.pReadInt(rs)+s.pReadInt(rt))
-	case isa.SUB:
-		setInt(in.Rd, s.pReadInt(rs)-s.pReadInt(rt))
-	case isa.MUL:
-		setInt(in.Rd, s.pReadInt(rs)*s.pReadInt(rt))
-	case isa.DIV:
-		setInt(in.Rd, s.pReadInt(rs)/s.pReadInt(rt)) // zero divisor faulted above
-	case isa.REM:
-		setInt(in.Rd, s.pReadInt(rs)%s.pReadInt(rt))
-	case isa.AND:
-		setInt(in.Rd, s.pReadInt(rs)&s.pReadInt(rt))
-	case isa.OR:
-		setInt(in.Rd, s.pReadInt(rs)|s.pReadInt(rt))
-	case isa.XOR:
-		setInt(in.Rd, s.pReadInt(rs)^s.pReadInt(rt))
-	case isa.SLL:
-		setInt(in.Rd, s.pReadInt(rs)<<(uint64(s.pReadInt(rt))&63))
-	case isa.SRL:
-		setInt(in.Rd, int64(uint64(s.pReadInt(rs))>>(uint64(s.pReadInt(rt))&63)))
-	case isa.SRA:
-		setInt(in.Rd, s.pReadInt(rs)>>(uint64(s.pReadInt(rt))&63))
-	case isa.SLT:
-		setInt(in.Rd, bool2i(s.pReadInt(rs) < s.pReadInt(rt)))
-	case isa.SLTU:
-		setInt(in.Rd, bool2i(uint64(s.pReadInt(rs)) < uint64(s.pReadInt(rt))))
-	case isa.ADDI:
-		setInt(in.Rd, s.pReadInt(rs)+int64(in.Imm))
-	case isa.ANDI:
-		setInt(in.Rd, s.pReadInt(rs)&int64(in.Imm))
-	case isa.ORI:
-		setInt(in.Rd, s.pReadInt(rs)|int64(in.Imm))
-	case isa.XORI:
-		setInt(in.Rd, s.pReadInt(rs)^int64(in.Imm))
-	case isa.SLLI:
-		setInt(in.Rd, s.pReadInt(rs)<<(uint32(in.Imm)&63))
-	case isa.SRLI:
-		setInt(in.Rd, int64(uint64(s.pReadInt(rs))>>(uint32(in.Imm)&63)))
-	case isa.SRAI:
-		setInt(in.Rd, s.pReadInt(rs)>>(uint32(in.Imm)&63))
-	case isa.SLTI:
-		setInt(in.Rd, bool2i(s.pReadInt(rs) < int64(in.Imm)))
-	case isa.LUI:
-		setInt(in.Rd, int64(in.Imm)<<16)
-
-	case isa.LB:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		setInt(in.Rd, int64(int8(s.pLoad(out.addr, 1))))
-	case isa.LBU:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		setInt(in.Rd, int64(uint8(s.pLoad(out.addr, 1))))
-	case isa.LH:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		setInt(in.Rd, int64(int16(s.pLoad(out.addr, 2))))
-	case isa.LW:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		setInt(in.Rd, int64(int32(s.pLoad(out.addr, 4))))
-	case isa.LD:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		setInt(in.Rd, int64(s.pLoad(out.addr, 8)))
-	case isa.FLD:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		setF(in.Rd, math.Float64frombits(s.pLoad(out.addr, 8)))
-	case isa.SB:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		s.pStore(out.addr, 1, uint64(s.pReadInt(rt)))
-	case isa.SH:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		s.pStore(out.addr, 2, uint64(s.pReadInt(rt)))
-	case isa.SW:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		s.pStore(out.addr, 4, uint64(s.pReadInt(rt)))
-	case isa.SD:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		s.pStore(out.addr, 8, uint64(s.pReadInt(rt)))
-	case isa.FSD:
-		out.addr = uint32(s.pReadInt(rs) + int64(in.Imm))
-		s.pStore(out.addr, 8, s.pregs[rt])
-
-	case isa.FADD:
-		setF(in.Rd, s.pReadF(rs)+s.pReadF(rt))
-	case isa.FSUB:
-		setF(in.Rd, s.pReadF(rs)-s.pReadF(rt))
-	case isa.FMUL:
-		setF(in.Rd, s.pReadF(rs)*s.pReadF(rt))
-	case isa.FDIV:
-		setF(in.Rd, s.pReadF(rs)/s.pReadF(rt))
-	case isa.FSQRT:
-		setF(in.Rd, math.Sqrt(s.pReadF(rs)))
-	case isa.FNEG:
-		setF(in.Rd, -s.pReadF(rs))
-	case isa.FABS:
-		setF(in.Rd, math.Abs(s.pReadF(rs)))
-	case isa.FMOV:
-		setF(in.Rd, s.pReadF(rs))
-	case isa.CVTLD:
-		setF(in.Rd, float64(s.pReadInt(rs)))
-	case isa.CVTDL:
-		f := s.pReadF(rs)
-		if math.IsNaN(f) {
-			setInt(in.Rd, 0)
-		} else {
-			setInt(in.Rd, int64(f))
-		}
-	case isa.FEQ:
-		setInt(in.Rd, bool2i(s.pReadF(rs) == s.pReadF(rt)))
-	case isa.FLT:
-		setInt(in.Rd, bool2i(s.pReadF(rs) < s.pReadF(rt)))
-	case isa.FLE:
-		setInt(in.Rd, bool2i(s.pReadF(rs) <= s.pReadF(rt)))
-	case isa.JAL, isa.JALR:
-		setInt(in.Rd, int64(pc+1))
-	default:
-		// Branches, J, JR, NOP, HALT: no p-thread effect.
-	}
-	return out, PFaultNone
-}
-
-func bool2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+	// An opcode Exec cannot execute has no p-thread effect.
+	var eff emu.Effect
+	emu.Exec(in, pc, r, m, &eff)
+	return eff, PFaultNone
 }

@@ -32,8 +32,8 @@ loop:   add  r1, r1, r2
         bge  r3, r2, loop
         halt
 `)
-	if m.R[1] != 5050 {
-		t.Errorf("sum = %d, want 5050", m.R[1])
+	if m.Reg(1) != 5050 {
+		t.Errorf("sum = %d, want 5050", m.Reg(1))
 	}
 }
 
@@ -63,8 +63,8 @@ rec:    addi sp, sp, -24
         addi sp, sp, 24
         ret
 `)
-	if m.R[2] != 55 {
-		t.Errorf("fib(10) = %d, want 55", m.R[2])
+	if m.Reg(2) != 55 {
+		t.Errorf("fib(10) = %d, want 55", m.Reg(2))
 	}
 }
 
@@ -87,17 +87,17 @@ main:   li   r1, -1
         lw   r7, h(r0)
         halt
 `)
-	if m.R[2] != -1 {
-		t.Errorf("lb = %d, want -1", m.R[2])
+	if m.Reg(2) != -1 {
+		t.Errorf("lb = %d, want -1", m.Reg(2))
 	}
-	if m.R[3] != 255 {
-		t.Errorf("lbu = %d, want 255", m.R[3])
+	if m.Reg(3) != 255 {
+		t.Errorf("lbu = %d, want 255", m.Reg(3))
 	}
-	if m.R[5] != -2 {
-		t.Errorf("lh = %d, want -2", m.R[5])
+	if m.Reg(5) != -2 {
+		t.Errorf("lh = %d, want -2", m.Reg(5))
 	}
-	if m.R[7] != -3 {
-		t.Errorf("lw = %d, want -3", m.R[7])
+	if m.Reg(7) != -3 {
+		t.Errorf("lw = %d, want -3", m.Reg(7))
 	}
 }
 
@@ -122,17 +122,17 @@ main:   fld   f1, x(r0)
         feq   r5, f4, f9
         halt
 `)
-	if m.F[2] != 3.0 {
-		t.Errorf("fsqrt = %v", m.F[2])
+	if m.FReg(2) != 3.0 {
+		t.Errorf("fsqrt = %v", m.FReg(2))
 	}
-	if m.F[5] != 24.0 || m.F[6] != 8.0 || m.F[7] != 4.0 {
-		t.Errorf("fp chain: %v %v %v", m.F[5], m.F[6], m.F[7])
+	if m.FReg(5) != 24.0 || m.FReg(6) != 8.0 || m.FReg(7) != 4.0 {
+		t.Errorf("fp chain: %v %v %v", m.FReg(5), m.FReg(6), m.FReg(7))
 	}
-	if m.R[2] != 4 {
-		t.Errorf("cvtdl = %d", m.R[2])
+	if m.Reg(2) != 4 {
+		t.Errorf("cvtdl = %d", m.Reg(2))
 	}
-	if m.R[3] != 1 || m.R[4] != 1 || m.R[5] != 1 {
-		t.Errorf("fp compares = %d %d %d, want all 1", m.R[3], m.R[4], m.R[5])
+	if m.Reg(3) != 1 || m.Reg(4) != 1 || m.Reg(5) != 1 {
+		t.Errorf("fp compares = %d %d %d, want all 1", m.Reg(3), m.Reg(4), m.Reg(5))
 	}
 }
 
@@ -155,13 +155,13 @@ main:   li   r1, 0xF0
         slti r15, r5, 0
         halt
 `)
-	checks := map[int]int64{
+	checks := map[isa.Reg]int64{
 		3: 0xF00, 4: 0xF0, 6: -1, 7: 0xF000, 8: 0xF0, 9: -4,
 		10: 0x30, 11: 5, 12: 0xA, 13: 1, 14: 0, 15: 1,
 	}
 	for r, want := range checks {
-		if m.R[r] != want {
-			t.Errorf("r%d = %d, want %d", r, m.R[r], want)
+		if m.Reg(r) != want {
+			t.Errorf("r%d = %d, want %d", r, m.Reg(r), want)
 		}
 	}
 }
@@ -179,14 +179,14 @@ main:   li r1, 17
         rem r9, r7, r2
         halt
 `)
-	if m.R[3] != 3 || m.R[4] != 2 {
-		t.Errorf("div/rem = %d,%d", m.R[3], m.R[4])
+	if m.Reg(3) != 3 || m.Reg(4) != 2 {
+		t.Errorf("div/rem = %d,%d", m.Reg(3), m.Reg(4))
 	}
-	if m.R[5] != 0 || m.R[6] != 0 {
-		t.Errorf("div/rem by zero = %d,%d, want 0,0", m.R[5], m.R[6])
+	if m.Reg(5) != 0 || m.Reg(6) != 0 {
+		t.Errorf("div/rem by zero = %d,%d, want 0,0", m.Reg(5), m.Reg(6))
 	}
-	if m.R[8] != -3 || m.R[9] != -2 {
-		t.Errorf("negative div/rem = %d,%d", m.R[8], m.R[9])
+	if m.Reg(8) != -3 || m.Reg(9) != -2 {
+		t.Errorf("negative div/rem = %d,%d", m.Reg(8), m.Reg(9))
 	}
 }
 
@@ -209,8 +209,8 @@ d:      addi r10, r10, 1
 fail:   li r10, -99
         halt
 `)
-	if m.R[10] != 3 {
-		t.Errorf("branch path counter = %d, want 3", m.R[10])
+	if m.Reg(10) != 3 {
+		t.Errorf("branch path counter = %d, want 3", m.Reg(10))
 	}
 }
 
@@ -222,18 +222,18 @@ main:   addi r0, r0, 5
         add  r2, r0, r1
         halt
 `)
-	if m.R[0] != 0 {
-		t.Errorf("r0 = %d, want 0", m.R[0])
+	if m.Reg(0) != 0 {
+		t.Errorf("r0 = %d, want 0", m.Reg(0))
 	}
-	if m.R[2] != 7 {
-		t.Errorf("r2 = %d, want 7", m.R[2])
+	if m.Reg(2) != 7 {
+		t.Errorf("r2 = %d, want 7", m.Reg(2))
 	}
 }
 
 func TestLUI(t *testing.T) {
 	m := run(t, "main: lui r1, 3\nhalt")
-	if m.R[1] != 3<<16 {
-		t.Errorf("lui = %d", m.R[1])
+	if m.Reg(1) != 3<<16 {
+		t.Errorf("lui = %d", m.Reg(1))
 	}
 }
 
@@ -300,18 +300,18 @@ main:   fld f1, z(r0)
         cvtdl r1, f2
         halt
 `)
-	if !math.IsNaN(m.F[2]) {
-		t.Fatalf("expected NaN, got %v", m.F[2])
+	if !math.IsNaN(m.FReg(2)) {
+		t.Fatalf("expected NaN, got %v", m.FReg(2))
 	}
-	if m.R[1] != 0 {
-		t.Errorf("cvtdl(NaN) = %d, want 0", m.R[1])
+	if m.Reg(1) != 0 {
+		t.Errorf("cvtdl(NaN) = %d, want 0", m.Reg(1))
 	}
 }
 
 func TestStackPointerInitialized(t *testing.T) {
 	p, _ := asm.Assemble("t.s", "main: halt")
 	m := New(p)
-	if m.R[isa.RegSP] != int64(StackTop) {
-		t.Errorf("sp = %#x, want %#x", m.R[isa.RegSP], StackTop)
+	if m.Reg(isa.RegSP) != int64(StackTop) {
+		t.Errorf("sp = %#x, want %#x", m.Reg(isa.RegSP), StackTop)
 	}
 }

@@ -1,6 +1,11 @@
 package emu
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"spear/internal/isa"
+)
 
 // StateHash is the architectural fingerprint the fault-containment tests
 // compare across the emulator, the baseline pipeline, and every SPEAR
@@ -29,17 +34,17 @@ func TestStateHashSensitivity(t *testing.T) {
 	m := run(t, hashProg)
 	base := m.StateHash()
 
-	m.R[5]++
+	m.Regs[5]++
 	if m.StateHash() == base {
 		t.Error("hash ignores integer registers")
 	}
-	m.R[5]--
+	m.Regs[5]--
 
-	m.F[3] = 1.5
+	m.Regs[isa.FP0+3] = math.Float64bits(1.5)
 	if m.StateHash() == base {
 		t.Error("hash ignores FP registers")
 	}
-	m.F[3] = 0
+	m.Regs[isa.FP0+3] = 0
 
 	m.Count++
 	if m.StateHash() == base {

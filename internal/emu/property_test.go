@@ -23,7 +23,7 @@ func execOne(t *testing.T, in isa.Instruction, r1, r2 int64) *Machine {
 		t.Fatal(err)
 	}
 	m := New(p)
-	m.R[1], m.R[2] = r1, r2
+	m.Regs[1], m.Regs[2] = uint64(r1), uint64(r2)
 	if err := m.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestALUQuickProperties(t *testing.T) {
 		o := o
 		f := func(a, b int64) bool {
 			m := execOne(t, isa.Instruction{Op: o.op, Rd: 3, Rs: 1, Rt: 2}, a, b)
-			return m.R[3] == o.f(a, b)
+			return m.Reg(3) == o.f(a, b)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 			t.Errorf("%v: %v", o.op, err)
@@ -81,7 +81,7 @@ func TestDivRemInvariant(t *testing.T) {
 		}
 		md := execOne(t, isa.Instruction{Op: isa.DIV, Rd: 3, Rs: 1, Rt: 2}, a, b)
 		mr := execOne(t, isa.Instruction{Op: isa.REM, Rd: 3, Rs: 1, Rt: 2}, a, b)
-		return md.R[3]*b+mr.R[3] == a
+		return md.Reg(3)*b+mr.Reg(3) == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -101,11 +101,11 @@ func TestMemoryRoundTripQuick(t *testing.T) {
 			},
 		}
 		m := New(p)
-		m.R[1] = v
+		m.Regs[1] = uint64(v)
 		if err := m.Run(10); err != nil {
 			return false
 		}
-		return m.R[3] == v
+		return m.Reg(3) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -144,7 +144,7 @@ func TestBranchTakenMatchesComparison(t *testing.T) {
 				},
 			}
 			m := New(p)
-			m.R[1], m.R[2] = a, b
+			m.Regs[1], m.Regs[2] = uint64(a), uint64(b)
 			if err := m.Run(10); err != nil {
 				t.Fatal(err)
 			}
@@ -152,8 +152,8 @@ func TestBranchTakenMatchesComparison(t *testing.T) {
 			if c.cmp(a, b) {
 				want = 2
 			}
-			if m.R[3] != want {
-				t.Fatalf("%v(%d,%d): marker %d, want %d", c.op, a, b, m.R[3], want)
+			if m.Reg(3) != want {
+				t.Fatalf("%v(%d,%d): marker %d, want %d", c.op, a, b, m.Reg(3), want)
 			}
 		}
 	}

@@ -252,6 +252,22 @@ func (o Op) IsStore() bool { return o.Class() == ClassStore }
 // IsMem reports whether the opcode accesses data memory.
 func (o Op) IsMem() bool { c := o.Class(); return c == ClassLoad || c == ClassStore }
 
+// AccessSize returns the access width in bytes of a memory opcode, 0 for
+// non-memory opcodes.
+func (o Op) AccessSize() int {
+	switch o {
+	case LB, LBU, SB:
+		return 1
+	case LH, SH:
+		return 2
+	case LW, SW:
+		return 4
+	case LD, SD, FLD, FSD:
+		return 8
+	}
+	return 0
+}
+
 // IsBranch reports whether the opcode is a conditional branch.
 func (o Op) IsBranch() bool {
 	switch o {

@@ -7,7 +7,6 @@ package mem
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math"
 	"sort"
 )
 
@@ -143,11 +142,32 @@ func (m *Memory) WriteU64(addr uint32, v uint64) {
 	binary.LittleEndian.PutUint64(p[o:o+8], v)
 }
 
-// ReadF64 reads an IEEE-754 double.
-func (m *Memory) ReadF64(addr uint32) float64 { return math.Float64frombits(m.ReadU64(addr)) }
+// Load reads a little-endian value of size 1, 2, 4 or 8 bytes.
+func (m *Memory) Load(addr uint32, size int) uint64 {
+	switch size {
+	case 1:
+		return uint64(m.ReadU8(addr))
+	case 2:
+		return uint64(m.ReadU16(addr))
+	case 4:
+		return uint64(m.ReadU32(addr))
+	}
+	return m.ReadU64(addr)
+}
 
-// WriteF64 writes an IEEE-754 double.
-func (m *Memory) WriteF64(addr uint32, v float64) { m.WriteU64(addr, math.Float64bits(v)) }
+// Store writes the low size bytes of v, little-endian; size is 1, 2, 4 or 8.
+func (m *Memory) Store(addr uint32, size int, v uint64) {
+	switch size {
+	case 1:
+		m.WriteU8(addr, uint8(v))
+	case 2:
+		m.WriteU16(addr, uint16(v))
+	case 4:
+		m.WriteU32(addr, uint32(v))
+	default:
+		m.WriteU64(addr, v)
+	}
+}
 
 // WriteBytes copies b into memory starting at addr.
 func (m *Memory) WriteBytes(addr uint32, b []byte) {

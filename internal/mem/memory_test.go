@@ -35,13 +35,19 @@ func TestMemoryReadWriteWidths(t *testing.T) {
 	if got := m.ReadU64(80); got != 0x0123456789ABCDEF {
 		t.Errorf("u64: got %#x", got)
 	}
-	m.WriteF64(96, -3.25)
-	if got := m.ReadF64(96); got != -3.25 {
-		t.Errorf("f64: got %v", got)
+	nan := math.Float64bits(math.NaN())
+	m.Store(96, 8, nan)
+	if got := m.Load(96, 8); got != nan {
+		t.Errorf("Load(8) of a NaN: got %#x, want %#x", got, nan)
 	}
-	m.WriteF64(104, math.NaN())
-	if got := m.ReadF64(104); !math.IsNaN(got) {
-		t.Errorf("f64 NaN: got %v", got)
+	for _, size := range []int{1, 2, 4} {
+		m.Store(104, size, 0xFFFF_FFFF_FFFF_FFFF)
+		if got, want := m.Load(104, size), uint64(1)<<(8*size)-1; got != want {
+			t.Errorf("Load(%d): got %#x, want %#x", size, got, want)
+		}
+	}
+	if got := m.Load(104, 8); got != 0xFFFF_FFFF {
+		t.Errorf("Store(4) wrote past its width: %#x", got)
 	}
 }
 

@@ -236,7 +236,7 @@ func TestCheckCleanOnGenerated(t *testing.T) {
 func corruptingTamper(m *emu.Machine) {
 	m.Hook = func(ev *emu.Event) {
 		if ev.Instr.Op == isa.MUL {
-			m.R[5] += 0x1234
+			m.Regs[5] += 0x1234
 		}
 	}
 }
